@@ -241,6 +241,12 @@ pub trait FtlScheme {
         LearnedStats::default()
     }
 
+    /// Installed learned-model segments (zero for every scheme except
+    /// [`SchemeKind::Learned`]).
+    fn learned_segments(&self) -> usize {
+        0
+    }
+
     /// Modelled mapping-table footprint in bytes (Figure 12(a)).
     fn mapping_table_bytes(&self) -> u64;
 

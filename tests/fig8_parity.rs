@@ -14,13 +14,19 @@
 //! AFTL_BLESS=1 cargo test --release -p aftl-integration --test fig8_parity
 //! ```
 
+use aftl_bench::learnedbench::learned_traffic_config;
 use aftl_bench::replay::{self, ReplayDigest};
+use aftl_core::learned::LearnedStats;
 use aftl_core::scheme::SchemeKind;
 use aftl_host::{Arbitration, HostConfig, IssueModel};
+use aftl_sim::experiment::run_on_device_keep;
 use aftl_sim::fleet::{run_fleet, FleetSpec};
 use aftl_sim::hosted::{run_hosted, tenants_from_trace};
+use aftl_sim::Ssd;
+use serde::{Deserialize, Serialize};
 
 const GOLDEN_PATH: &str = "../../tests/golden/fig8_small_digest.json";
+const LEARNED_GOLDEN_PATH: &str = "../../tests/golden/learned_digest.json";
 
 fn run_digests() -> Vec<ReplayDigest> {
     let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
@@ -53,6 +59,52 @@ fn fig8_small_matches_pre_optimization_golden() {
             got.scheme
         );
     }
+}
+
+/// What the learned scheme's fig8-small replay computed: the run digest,
+/// the scheme's cumulative model counters (aging included) and the number
+/// of segments installed when the replay ends.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct LearnedDigest {
+    digest: ReplayDigest,
+    learned: LearnedStats,
+    segments: usize,
+}
+
+/// The learned scheme's golden: fig8-small through the pipelined map
+/// engine with a 2-translation-page cache, so predictions, segment
+/// rebuilds and capacity evictions all fire. The segment store is a
+/// host-side index; swapping its data structure must not move a single
+/// simulated counter. Blessed with `AFTL_BLESS=1`, like the fig8 golden.
+#[test]
+fn learned_replay_matches_golden() {
+    let trace = replay::fig8_small_trace(replay::FIG8_SMALL_SCALE);
+    let mut config = learned_traffic_config(SchemeKind::Learned);
+    config.scheme_cfg.pipeline.enabled = true;
+    let ssd = Ssd::new(config).expect("learned device");
+    let (report, ssd) = run_on_device_keep(ssd, &trace).expect("learned replay");
+    let got = LearnedDigest {
+        digest: ReplayDigest::of(&report),
+        learned: ssd.scheme().learned_stats(),
+        segments: ssd.scheme().learned_segments(),
+    };
+    assert!(
+        got.learned.predict_hits > 0 && got.learned.segment_rebuilds > 0,
+        "the golden run must exercise predictions and rebuilds: {:?}",
+        got.learned
+    );
+
+    if std::env::var_os("AFTL_BLESS").is_some() {
+        let json = serde_json::to_string_pretty(&got).expect("digest serializes");
+        std::fs::write(LEARNED_GOLDEN_PATH, json).expect("write learned golden digest");
+        eprintln!("blessed {LEARNED_GOLDEN_PATH}");
+        return;
+    }
+
+    let text = std::fs::read_to_string(LEARNED_GOLDEN_PATH)
+        .expect("learned golden digest present (bless with AFTL_BLESS=1)");
+    let golden: LearnedDigest = serde_json::from_str(&text).expect("learned golden parses");
+    assert_eq!(golden, got, "learned replay drifted from its golden");
 }
 
 /// [`ReplayDigest::flash_side`]: the digest minus the two fields that
