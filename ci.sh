@@ -38,6 +38,11 @@ cargo build --release
 say "cargo test"
 cargo test -q
 
+say "perfbench self-tests"
+# perfbench/ is a workspace of its own, so the root `cargo test` above
+# does not reach its self-tests.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 say "cargo doc -D warnings"
 # Every public item in every crate is documented (#![warn(missing_docs)]
 # workspace-wide); broken intra-doc links or rustdoc warnings fail here.
